@@ -147,8 +147,6 @@ class Flat:
     codim: int
     generators: frozenset
     system: Matrix
-    witness: tuple
-    directions: tuple
 
     def dim(self, ambient_dim: int) -> int:
         return ambient_dim - self.codim
@@ -218,8 +216,8 @@ class IntersectionPoset:
 
 
 def _flat_from_system(arrangement: Arrangement, system_rows) -> Optional[tuple]:
-    """Canonicalize a defining system.  Returns (key rows, witness,
-    directions, generators) or None when the system is inconsistent."""
+    """Canonicalize a defining system.  Returns (key rows, generators) or
+    None when the system is inconsistent."""
     n = arrangement.ambient_dim
     stacked = Matrix.from_rows(system_rows, cols=n + 1)
     reduced, rank, pivots = rref(stacked)
@@ -228,15 +226,14 @@ def _flat_from_system(arrangement: Arrangement, system_rows) -> Optional[tuple]:
     canonical = tuple(reduced.row(i) for i in range(rank))
     coeff = Matrix.from_rows([r[:n] for r in canonical], cols=n)
     rhs = [r[n] for r in canonical]
-    solved = solve_affine(coeff, rhs)
-    witness, directions = solved
+    witness, directions = solve_affine(coeff, rhs)
     generators = frozenset(
         m
         for m, h in enumerate(arrangement.hyperplanes)
         if h.contains(witness)
         and all(_dot(h.normal, d) == ZERO for d in directions)
     )
-    return canonical, witness, directions, generators
+    return canonical, generators
 
 
 def _dot(a, b):
@@ -256,37 +253,23 @@ def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
     depend on the hyperplane input order.
     """
     n = arrangement.ambient_dim
-    basis = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-    bottom = Flat(
-        id=0,
-        codim=0,
-        generators=frozenset(),
-        system=Matrix(0, n + 1, ()),
-        witness=tuple([ZERO] * n),
-        directions=tuple(basis),
-    )
+    bottom = Flat(id=0, codim=0, generators=frozenset(), system=Matrix(0, n + 1, ()))
     flats = [bottom]
     seen = {bottom.system.entries}
 
     hyper_rows = [list(h.normal) + [h.constant] for h in arrangement.hyperplanes]
-    current = []
-    for row in hyper_rows:
-        info = _flat_from_system(arrangement, [row])
-        canonical, witness, directions, generators = info
-        current.append((canonical, witness, directions, generators))
+    current = [_flat_from_system(arrangement, [row]) for row in hyper_rows]
 
     codim = 1
     while current:
         current.sort(key=lambda item: _system_sort_key(item[0]))
         layer = []
-        for canonical, witness, directions, generators in current:
+        for canonical, generators in current:
             flat = Flat(
                 id=len(flats),
                 codim=codim,
                 generators=generators,
                 system=Matrix.from_rows(canonical, cols=n + 1),
-                witness=witness,
-                directions=directions,
             )
             flats.append(flat)
             layer.append(flat)

@@ -16,7 +16,11 @@ from typing import Optional
 
 from .arrangement import Arrangement, braid_arrangement, intersection_poset
 from .errors import ArrcompError
-from .fileformat import parse_arrangement, serialize_arrangement
+from .fileformat import (
+    load_arrangement_file,
+    parse_arrangement,
+    serialize_arrangement,
+)
 from .lattice import betti_numbers, char_poly, fiber_type, mobius
 from .surgery import (
     SurgeryTable,
@@ -46,14 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_arrangement(source: str) -> Arrangement:
-    if source == "-":
-        return parse_arrangement(sys.stdin.read())
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        if source == "-":
+            return parse_arrangement(sys.stdin.read())
+        return load_arrangement_file(source).arrangement
     except OSError as exc:
         raise ArrcompError(f"cannot read {source}: {exc.strerror or exc}") from exc
-    return parse_arrangement(text)
+    except UnicodeDecodeError as exc:
+        raise ArrcompError(f"cannot read {source}: {exc}") from exc
 
 
 class _Report:
@@ -127,15 +131,6 @@ def _group_entries(table: SurgeryTable) -> list[dict]:
 
 def _table_lines(table: SurgeryTable) -> list[str]:
     return [f"L_i, i = {i} mod 4: {group}" for i, group in table.rows()]
-
-
-def _sphere_summary(dims) -> str:
-    if not dims:
-        return "no spheres"
-    tally: dict[int, int] = {}
-    for d in dims:
-        tally[d] = tally.get(d, 0) + 1
-    return " + ".join(f"{count} S^{dim}" for dim, count in sorted(tally.items()))
 
 
 def _cmd_lattice(args) -> int:
@@ -227,12 +222,12 @@ def _cmd_suspension(args) -> int:
     report.result = {"sphere_dims": list(plain.sphere_dims)}
     report.lines.append(
         f"suspension: wedge of {len(plain.sphere_dims)} spheres: "
-        f"{_sphere_summary(plain.sphere_dims)}"
+        f"{plain.summary()}"
     )
     if args.full_poset:
         full = gm_wedge(arrangement)
         report.result["full_poset"] = {"sphere_dims": list(full.sphere_dims)}
-        report.lines.append(f"full-poset model: {_sphere_summary(full.sphere_dims)}")
+        report.lines.append(f"full-poset model: {full.summary()}")
         report.warnings.extend(full.warnings)
     return report.emit()
 

@@ -73,7 +73,7 @@ def _parse_internal(text: str) -> tuple[Arrangement, tuple]:
                     "expected header 'arrangement <n>'", line=lineno, column=tokens[0][1]
                 )
             word, column = tokens[1]
-            if not word.isdigit():
+            if not word.isdecimal():
                 raise ParseError("ambient dimension must be a positive integer",
                                  line=lineno, column=column)
             dim = int(word)

@@ -105,7 +105,7 @@ def h_of_complement(hyperplane_count: int, i: int) -> AbelianGroup:
     degree down, read off the wedge splitting of the suspension."""
     if hyperplane_count < 0:
         raise InvalidParameterError("hyperplane count must be nonnegative")
-    return l_point(i).direct_sum(l_point(i - 1).power(hyperplane_count))
+    return assembly_from_betti((1, hyperplane_count), i)
 
 
 @dataclass(frozen=True)

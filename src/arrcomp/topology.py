@@ -6,10 +6,14 @@ Two wedge models are computed on purpose.  ``suspension_wedge`` is the
 hyperplane-count model: the suspension of the complement is a wedge of N
 two-spheres, N the number of hyperplanes.  ``gm_wedge`` evaluates the
 underlying subspace-arrangement decomposition over the full proper poset,
-where every flat contributes through the homology of the order complex of
-the flats strictly below it.  The two disagree as soon as a flat of
+where every flat X contributes |mu(X)| spheres of dimension codim(X) + 1,
+read off the Möbius table.  The two disagree as soon as a flat of
 codimension two or more exists; the disagreement is reported as a warning
 on the full-poset result, never reconciled silently.
+
+Order complexes and their integral homology are public API and the
+independent reference that the tests check ``gm_wedge`` against; neither
+wedge model uses them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Optional, Sequence
 
 from .arrangement import Arrangement, IntersectionPoset, intersection_poset
 from .errors import InvalidParameterError
+from .lattice import mobius
 from .linalg import IntegerMatrix, smith_normal_form
 
 
@@ -194,6 +199,13 @@ class WedgeDecomposition:
             tally[d] = tally.get(d, 0) + 1
         return tally
 
+    def summary(self) -> str:
+        """Sphere counts by ascending dimension, such as ``3 S^2 + 2 S^3``."""
+        counts = self.counts()
+        if not counts:
+            return "no spheres"
+        return " + ".join(f"{n} S^{d}" for d, n in sorted(counts.items()))
+
 
 def suspension_wedge(arrangement: Arrangement) -> WedgeDecomposition:
     """Hyperplane-count model: one two-sphere per hyperplane.
@@ -209,46 +221,32 @@ def gm_wedge(
 ) -> WedgeDecomposition:
     """Full-poset model of the suspended complement.
 
-    Every proper flat of codimension c contributes through the complement
+    Every proper flat X of codimension c contributes through the complement
     of its below-complex inside a (2c-1)-sphere, read off by duality: a
     free class in degree k of the below-complex yields a sphere of
-    dimension 2c-1-k after suspension, and an empty below-complex yields
-    a single sphere of dimension 2c.  Torsion cannot be carried by a
-    wedge of spheres and is surfaced as a warning, as is divergence from
-    the hyperplane-count model.
+    dimension 2c-1-k after suspension.  The lower interval [bottom, X] is
+    a geometric lattice (the localization at X is central), so by Folkman
+    (1966) the below-complex has free homology of rank |mu(X)|, all in
+    degree c-2; for c = 1 the complex is empty and contributes one sphere
+    of dimension 2.  Hence X gives |mu(X)| spheres of dimension c+1, with
+    no torsion to drop.  Divergence from the hyperplane-count model is
+    surfaced as a warning.
     """
     if poset is None:
         poset = intersection_poset(arrangement)
-    dims = []
-    warnings = []
-    for fid in poset.proper_ids():
-        c = poset.flats[fid].codim
-        below = order_complex_below(poset, fid)
-        if below.is_empty:
-            dims.append(2 * c)
-            continue
-        homology = reduced_homology(below)
-        for k, (free, torsion) in enumerate(homology.groups):
-            dims.extend([2 * c - 1 - k] * free)
-            for order in torsion:
-                warnings.append(
-                    f"torsion Z_{order} in degree {k} below flat {fid} "
-                    "is dropped by the sphere model"
-                )
-    dims.sort()
+    table = mobius(poset)
+    dims = sorted(
+        flat.codim + 1
+        for flat in poset.flats
+        if flat.codim > 0
+        for _ in range(abs(table[flat.id]))
+    )
+    full = WedgeDecomposition(sphere_dims=tuple(dims))
     plain = suspension_wedge(arrangement)
-    if tuple(dims) != plain.sphere_dims:
-        warnings.append(
-            "full-poset model diverges from the hyperplane-count model: "
-            f"{_dims_summary(tuple(dims))} versus {_dims_summary(plain.sphere_dims)}"
-        )
-    return WedgeDecomposition(sphere_dims=tuple(dims), warnings=tuple(warnings))
-
-
-def _dims_summary(dims: tuple) -> str:
-    if not dims:
-        return "no spheres"
-    tally: dict[int, int] = {}
-    for d in dims:
-        tally[d] = tally.get(d, 0) + 1
-    return " + ".join(f"{count} S^{dim}" for dim, count in sorted(tally.items()))
+    if full.sphere_dims == plain.sphere_dims:
+        return full
+    warning = (
+        "full-poset model diverges from the hyperplane-count model: "
+        f"{full.summary()} versus {plain.summary()}"
+    )
+    return WedgeDecomposition(sphere_dims=full.sphere_dims, warnings=(warning,))

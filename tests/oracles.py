@@ -8,7 +8,13 @@ agreement with the library is evidence rather than a tautology.
 import random
 from itertools import combinations
 
-from arrcomp import make_arrangement
+from arrcomp import (
+    ArrcompError,
+    gauss,
+    make_arrangement,
+    order_complex_below,
+    reduced_homology,
+)
 
 
 def mobius_by_chains(poset, target):
@@ -87,3 +93,53 @@ def random_arrangements(seed, count):
             continue
         built += 1
         yield arrangement
+
+
+def random_gaussian_arrangements(seed, count):
+    """Seeded stream of small arrangements in C^2 and C^3 with Gaussian
+    integer normals (parts in [-1, 1]) and constants drawn from
+    {0, 0, 1, -1, i}.  A quarter of the hyperplanes after the first
+    reuse the normal of the one before, so parallel pairs are common."""
+    rng = random.Random(seed)
+    built = 0
+    while built < count:
+        dim = rng.choice((2, 3))
+        forms = []
+        for _ in range(rng.randint(2, 6)):
+            if forms and rng.random() < 0.25:
+                normal = forms[-1][0]
+            else:
+                normal = tuple(
+                    gauss(rng.randint(-1, 1), rng.choice((0, 0, 1, -1)))
+                    for _ in range(dim)
+                )
+            constant = gauss(*rng.choice(((0, 0), (0, 0), (1, 0), (-1, 0), (0, 1))))
+            forms.append((normal, constant))
+        try:
+            arrangement = make_arrangement(dim, forms)
+        except ArrcompError:
+            continue
+        built += 1
+        yield arrangement
+
+
+def wedge_by_homology(poset):
+    """Full-poset sphere dimensions from the homology of order complexes.
+
+    For each proper flat of codimension c, a free class in degree k of
+    the order complex strictly below it gives a sphere of dimension
+    2c-1-k, and an empty complex gives one sphere of dimension 2c.
+    Returns (sorted dimensions, torsion found as (flat, degree, order)).
+    """
+    dims = []
+    torsion = []
+    for fid in poset.proper_ids():
+        c = poset.flats[fid].codim
+        below = order_complex_below(poset, fid)
+        if below.is_empty:
+            dims.append(2 * c)
+            continue
+        for k, (free, orders) in enumerate(reduced_homology(below).groups):
+            dims.extend([2 * c - 1 - k] * free)
+            torsion.extend((fid, k, order) for order in orders)
+    return tuple(sorted(dims)), torsion

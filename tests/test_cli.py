@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -44,6 +46,22 @@ class TestExitCodes:
         code, _, err = run_cli(["lattice", "/no/such/file.arr"])
         assert code == 2
         assert "cannot read" in err
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path):
+        path = tmp_path / "binary.arr"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["betti", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "Traceback" not in err
+
+    def test_non_utf8_stdin_is_an_input_error(self, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, _, err = run_cli(["betti", "-"])
+        assert code == 2
+        assert err.startswith("error: cannot read -: ")
 
     def test_malformed_stdin_is_an_input_error(self):
         code, _, err = run_cli(["lattice", "-"], stdin_text="arrangement 2\n1\n")

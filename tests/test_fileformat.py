@@ -60,6 +60,10 @@ class TestParse:
             parse_arrangement("arrangement zero\n")
         with pytest.raises(ParseError):
             parse_arrangement("arrangement 0\n")
+        # a superscript digit passes str.isdigit() but int() rejects it
+        with pytest.raises(ParseError) as info:
+            parse_arrangement("arrangement \u00b2\n1 ; 0\n")
+        assert (info.value.line, info.value.column) == (1, 13)
 
     def test_zero_normal_with_line(self):
         with pytest.raises(ZeroNormalError) as info:

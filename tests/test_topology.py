@@ -15,6 +15,7 @@ from arrcomp import (
     suspension_wedge,
 )
 from arrcomp.errors import InvalidParameterError
+from oracles import random_gaussian_arrangements, wedge_by_homology
 
 
 class TestSimplicialComplex:
@@ -166,3 +167,26 @@ class TestGmWedge:
             w = gm_wedge(corpus_arrangements[name], corpus_posets[name])
             assert w.warnings == (), name
             assert w.sphere_dims == suspension_wedge(corpus_arrangements[name]).sphere_dims
+
+    def test_matches_order_complex_homology_on_corpus(
+        self, corpus_arrangements, corpus_posets
+    ):
+        for name, a in corpus_arrangements.items():
+            poset = corpus_posets[name]
+            dims, torsion = wedge_by_homology(poset)
+            assert torsion == [], name
+            assert gm_wedge(a, poset).sphere_dims == dims, name
+
+    def test_matches_order_complex_homology_on_random_inputs(self):
+        complex_, affine, parallel = 0, 0, 0
+        for a in random_gaussian_arrangements(11, 40):
+            poset = intersection_poset(a)
+            dims, torsion = wedge_by_homology(poset)
+            assert torsion == [], a
+            assert gm_wedge(a, poset).sphere_dims == dims, a
+            complex_ += any(x.im for h in a.hyperplanes for x in h.normal)
+            affine += not a.is_central()
+            directions = {h.canonical_form()[:-1] for h in a.hyperplanes}
+            parallel += len(directions) < a.size
+        # the stream must exercise every kind of input it is meant to
+        assert min(complex_, affine, parallel) >= 5
