@@ -3,9 +3,11 @@ intersection posets.
 
 A hyperplane is the solution set of one exact linear equation ``a . x = b``.
 Flats are the nonempty intersections of sub-collections of hyperplanes,
-ordered by reverse inclusion of subspaces; each flat is identified by the
-reduced row echelon form of its defining system, so the same subspace cut
-out by different sub-collections is merged.
+ordered by reverse inclusion of subspaces.  The poset is a matroid
+closure: each flat is identified by its generators, the set of all
+hyperplanes that contain it, so the same subspace cut out by different
+sub-collections is one flat, and linear algebra only has to say which
+hyperplane equations lie in the span of a flat's system.
 """
 
 from __future__ import annotations
@@ -44,12 +46,6 @@ class Hyperplane:
         the same hyperplane collapse to one value."""
         lead = next(x for x in self.normal if x)
         return tuple(x / lead for x in self.normal) + (self.constant / lead,)
-
-    def contains(self, point: Sequence[GaussianRational]) -> bool:
-        total = ZERO
-        for a, x in zip(self.normal, point):
-            total = total + a * x
-        return total == self.constant
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,11 @@ def braid_arrangement(n: int) -> Arrangement:
 class Flat:
     """One nonempty intersection of hyperplanes.
 
-    ``system`` is the reduced row echelon form of the defining equations
-    (coefficients plus a trailing constant column); it is the canonical
-    identity of the flat.  ``generators`` is the full set of hyperplane
-    indices containing the flat, which realizes it and makes the poset
-    order a plain subset test.
+    ``generators`` is the full set of hyperplane indices containing the
+    flat; it identifies the flat and makes the poset order a plain subset
+    test.  ``system`` is the reduced row echelon form of the defining
+    equations (coefficients plus a trailing constant column); it orders
+    the flats within a codimension and is what ``key()`` returns.
     """
 
     id: int
@@ -215,27 +211,6 @@ class IntersectionPoset:
         return None
 
 
-def _flat_from_system(arrangement: Arrangement, system_rows) -> Optional[tuple]:
-    """Canonicalize a defining system.  Returns (key rows, generators) or
-    None when the system is inconsistent."""
-    n = arrangement.ambient_dim
-    stacked = Matrix.from_rows(system_rows, cols=n + 1)
-    reduced, rank, pivots = rref(stacked)
-    if n in pivots:
-        return None
-    canonical = tuple(reduced.row(i) for i in range(rank))
-    coeff = Matrix.from_rows([r[:n] for r in canonical], cols=n)
-    rhs = [r[n] for r in canonical]
-    witness, directions = solve_affine(coeff, rhs)
-    generators = frozenset(
-        m
-        for m, h in enumerate(arrangement.hyperplanes)
-        if h.contains(witness)
-        and all(_dot(h.normal, d) == ZERO for d in directions)
-    )
-    return canonical, generators
-
-
 def _dot(a, b):
     total = ZERO
     for x, y in zip(a, b):
@@ -243,60 +218,75 @@ def _dot(a, b):
     return total
 
 
-def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
-    """Close the hyperplane set under pairwise meets, layer by layer.
+def _in_span(row, system: Matrix, pivots) -> bool:
+    """True when ``row`` is a combination of the rows of ``system``, a
+    matrix in reduced row echelon form with the given pivot columns.
 
-    Every flat of codimension k+1 is the intersection of a codimension-k
-    flat with one more hyperplane, so breadth-first closure finds all of
-    them without enumerating the 2^N sub-collections.  New flats within a
-    layer are sorted by their canonical system so the output order does not
-    depend on the hyperplane input order.
+    The only candidate takes ``row[p]`` times the row with pivot p, which
+    already agrees with ``row`` on the pivot columns, so the test compares
+    the other columns and stops at the first that differs.
+    """
+    terms = [(row[p], system.row(i)) for i, p in enumerate(pivots) if row[p]]
+    for j, x in enumerate(row):
+        if j in pivots:
+            continue
+        total = ZERO
+        for factor, basis in terms:
+            if basis[j]:
+                total = total + factor * basis[j]
+        if total != x:
+            return False
+    return True
+
+
+def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
+    """Close the flats under intersection with one more hyperplane, one
+    codimension at a time.
+
+    Every flat of codimension k+1 is a flat of codimension k cut by one
+    hyperplane that does not contain it.  One row reduction of the flat's
+    system stacked with that hyperplane's equation either shows the two
+    are disjoint (a pivot in the constant column) or gives the cover's
+    system; the cover's generators are the hyperplanes whose equations lie
+    in its span, and none of them is tried again from the same flat.
+    Covers are keyed by their generators, and each new layer is sorted by
+    its reduced systems so the output order does not depend on the
+    hyperplane input order.
     """
     n = arrangement.ambient_dim
-    bottom = Flat(id=0, codim=0, generators=frozenset(), system=Matrix(0, n + 1, ()))
-    flats = [bottom]
-    seen = {bottom.system.entries}
-
-    hyper_rows = [list(h.normal) + [h.constant] for h in arrangement.hyperplanes]
-    current = [_flat_from_system(arrangement, [row]) for row in hyper_rows]
-
-    codim = 1
-    while current:
-        current.sort(key=lambda item: _system_sort_key(item[0]))
-        layer = []
-        for canonical, generators in current:
-            flat = Flat(
-                id=len(flats),
-                codim=codim,
-                generators=generators,
-                system=Matrix.from_rows(canonical, cols=n + 1),
-            )
-            flats.append(flat)
-            layer.append(flat)
-
-        next_layer = {}
+    rows = [h.normal + (h.constant,) for h in arrangement.hyperplanes]
+    flats = [Flat(id=0, codim=0, generators=frozenset(), system=Matrix(0, n + 1, ()))]
+    layer = flats
+    while layer:
+        codim = layer[0].codim + 1
+        covers = {}
         for flat in layer:
-            base_rows = [list(r) for r in flat.system.iter_rows()]
-            for m, row in enumerate(hyper_rows):
-                if m in flat.generators:
+            absorbed = set(flat.generators)
+            for m, row in enumerate(rows):
+                if m in absorbed:
                     continue
-                info = _flat_from_system(arrangement, base_rows + [row])
-                if info is None:
+                reduced, _, pivots = rref(Matrix(codim, n + 1, flat.system.entries + row))
+                if n in pivots:
                     continue
-                canonical = info[0]
-                flat_key = tuple(x for r in canonical for x in r)
-                if flat_key in seen or flat_key in next_layer:
-                    continue
-                next_layer[flat_key] = info
-        seen.update(next_layer.keys())
-        current = list(next_layer.values())
-        codim += 1
-
+                system = Matrix(codim, n + 1, reduced.entries[: codim * (n + 1)])
+                generators = flat.generators | {
+                    k
+                    for k, other in enumerate(rows)
+                    if k not in flat.generators and _in_span(other, system, pivots)
+                }
+                absorbed |= generators
+                covers.setdefault(generators, system)
+        ordered = sorted(covers.items(), key=lambda item: _system_sort_key(item[1]))
+        layer = [
+            Flat(id=len(flats) + i, codim=codim, generators=generators, system=system)
+            for i, (generators, system) in enumerate(ordered)
+        ]
+        flats.extend(layer)
     return IntersectionPoset(arrangement, flats)
 
 
-def _system_sort_key(canonical_rows):
-    return tuple(x.sort_key() for row in canonical_rows for x in row)
+def _system_sort_key(system: Matrix):
+    return tuple(x.sort_key() for x in system.entries)
 
 
 def deletion(arrangement: Arrangement, h: int) -> Arrangement:

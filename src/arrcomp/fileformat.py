@@ -32,14 +32,17 @@ from .linalg import GaussianRational, gauss
 _TOKEN = re.compile(r"[^\s;#]+|;")
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 _COEFFICIENT = re.compile(rf"^({_RATIONAL})(?::({_RATIONAL}))?$")
+_TOO_LONG = "integer has too many digits"
 
 
 def _parse_rational(text: str, line: int, column: int) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise ParseError("zero denominator", line=line, column=column) from None
-    return value
+    except ValueError:
+        # the grammar already matched, so only CPython's digit limit is left
+        raise ParseError(_TOO_LONG, line=line, column=column) from None
 
 
 def _parse_coefficient(text: str, line: int, column: int) -> GaussianRational:
@@ -76,7 +79,10 @@ def _parse_internal(text: str) -> tuple[Arrangement, tuple]:
             if not word.isdecimal():
                 raise ParseError("ambient dimension must be a positive integer",
                                  line=lineno, column=column)
-            dim = int(word)
+            try:
+                dim = int(word)
+            except ValueError:
+                raise ParseError(_TOO_LONG, line=lineno, column=column) from None
             if dim < 1:
                 raise ParseError("ambient dimension must be at least 1",
                                  line=lineno, column=column)

@@ -10,10 +10,12 @@ from itertools import combinations
 
 from arrcomp import (
     ArrcompError,
+    Matrix,
     gauss,
     make_arrangement,
     order_complex_below,
     reduced_homology,
+    solve_affine,
 )
 
 
@@ -56,6 +58,39 @@ def mobius_by_subsets(arrangement, poset):
             if closure is not None:
                 values[closure.id] += (-1) ** size
     return values
+
+
+def flats_by_subsets(arrangement):
+    """Every flat as ``(codim, generators)``, from all hyperplane subsets.
+
+    Each subset is solved for a witness point and kernel directions; a
+    hyperplane passes through the solution set when it holds at the
+    witness and its normal vanishes on every direction.  Subsets with an
+    empty intersection are dropped.  Independent of the layered closure
+    used by the library.
+    """
+    n = arrangement.ambient_dim
+    hyperplanes = arrangement.hyperplanes
+    found = set()
+    for size in range(len(hyperplanes) + 1):
+        for subset in combinations(range(len(hyperplanes)), size):
+            coeff = Matrix.from_rows([hyperplanes[k].normal for k in subset], cols=n)
+            solved = solve_affine(coeff, [hyperplanes[k].constant for k in subset])
+            if solved is None:
+                continue
+            witness, directions = solved
+            generators = frozenset(
+                m
+                for m, h in enumerate(hyperplanes)
+                if _dot(h.normal, witness) == h.constant
+                and all(_dot(h.normal, d) == 0 for d in directions)
+            )
+            found.add((n - len(directions), generators))
+    return found
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), gauss(0))
 
 
 def expand_tower_product(ambient_dim, ranks):

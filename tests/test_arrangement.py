@@ -16,6 +16,8 @@ from arrcomp import (
     restriction,
 )
 from arrcomp.errors import InvalidParameterError
+from arrcomp.linalg import Matrix, rref
+from oracles import flats_by_subsets, random_gaussian_arrangements
 
 
 class TestMakeArrangement:
@@ -152,6 +154,33 @@ class TestIntersectionPoset:
                             y.id, candidate.id
                         ):
                             assert poset.leq(join, candidate.id), name
+
+    def test_flats_match_subset_oracle(self, corpus_arrangements):
+        randoms = list(random_gaussian_arrangements(11, 40))
+        arrangements = (
+            list(corpus_arrangements.values())
+            + [braid_arrangement(n) for n in (1, 2, 3)]
+            + randoms
+        )
+        for a in arrangements:
+            poset = intersection_poset(a)
+            expected = flats_by_subsets(a)
+            assert len(poset) == len(expected), a
+            assert {(f.codim, f.generators) for f in poset.flats} == expected, a
+            width = a.ambient_dim + 1
+            for flat in poset.flats:
+                rows = [
+                    a.hyperplanes[k].normal + (a.hyperplanes[k].constant,)
+                    for k in sorted(flat.generators)
+                ]
+                reduced, rank, _ = rref(Matrix.from_rows(rows, cols=width))
+                assert flat.system == Matrix(rank, width, reduced.entries[: rank * width])
+        # parallel pairs exercise covers that turn out empty
+        parallel = sum(
+            len({h.canonical_form()[:-1] for h in a.hyperplanes}) < a.size
+            for a in randoms
+        )
+        assert parallel >= 5
 
     def test_flat_lookup_error(self):
         poset = intersection_poset(braid_arrangement(1))

@@ -68,6 +68,14 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_overlong_integer_is_an_input_error(self):
+        text = f"arrangement 1\n{'1' * 5000} ; 0\n"
+        code, out, err = run_cli(["betti", "-"], stdin_text=text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2, column 1: ")
+        assert "Traceback" not in err
+
     def test_surgery_pb_rejects_zero(self):
         code, _, err = run_cli(["surgery-pb", "0"])
         assert code == 2

@@ -109,6 +109,23 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_arrangement("arrangement 1\n1/0 ; 0\n")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("arrangement 1\n{ones} ; 0\n", (2, 1)),
+            ("arrangement 1\n1/{ones} ; 0\n", (2, 1)),
+            ("arrangement 1\n1:{ones} ; 0\n", (2, 1)),
+            ("arrangement {ones}\n1 ; 0\n", (1, 13)),
+        ],
+        ids=["coefficient", "denominator", "imaginary", "header"],
+    )
+    def test_integer_past_the_digit_limit(self, text, where):
+        # CPython refuses to convert integer strings of more than 4300 digits
+        with pytest.raises(ParseError) as info:
+            parse_arrangement(text.format(ones="1" * 5000))
+        assert (info.value.line, info.value.column) == where
+        assert "too many digits" in str(info.value)
+
     def test_attached_semicolon(self):
         parsed = parse_arrangement("arrangement 2\n1 0; 0\n")
         assert parsed.size == 1

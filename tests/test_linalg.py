@@ -228,6 +228,24 @@ class TestSmithNormalForm:
                     assert factors[k - 1] == divisor // previous
                     previous = divisor
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(23)
+        for trial in range(150):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            entries = [rng.randint(-9, 9) for _ in range(rows * cols)]
+            if trial % 5 == 0:
+                entries = [0] * (rows * cols)
+            elif trial % 5 == 1 and rows > 1:
+                # repeat a multiple of the first row: rank deficient
+                entries[cols : 2 * cols] = [3 * x for x in entries[:cols]]
+            ours = smith_normal_form(IntegerMatrix(rows, cols, tuple(entries)))
+            theirs = sympy_snf(sympy.Matrix(rows, cols, entries), domain=sympy.ZZ)
+            size = min(rows, cols)
+            assert ours == tuple(abs(int(theirs[i, i])) for i in range(size)), entries
+
     def test_integer_rank(self):
         m = IntegerMatrix(rows=2, cols=3, entries=(1, 2, 3, 2, 4, 6))
         assert integer_rank(m) == 1
