@@ -6,8 +6,9 @@ Flats are the nonempty intersections of sub-collections of hyperplanes,
 ordered by reverse inclusion of subspaces.  The poset is a matroid
 closure: each flat is identified by its generators, the set of all
 hyperplanes that contain it, so the same subspace cut out by different
-sub-collections is one flat, and linear algebra only has to say which
-hyperplane equations lie in the span of a flat's system.
+sub-collections is one flat.  Linear algebra only reduces each hyperplane
+equation against a flat's system: the hyperplanes whose residuals agree
+up to a scalar cut that flat in the same cover.
 """
 
 from __future__ import annotations
@@ -218,40 +219,22 @@ def _dot(a, b):
     return total
 
 
-def _in_span(row, system: Matrix, pivots) -> bool:
-    """True when ``row`` is a combination of the rows of ``system``, a
-    matrix in reduced row echelon form with the given pivot columns.
-
-    The only candidate takes ``row[p]`` times the row with pivot p, which
-    already agrees with ``row`` on the pivot columns, so the test compares
-    the other columns and stops at the first that differs.
-    """
-    terms = [(row[p], system.row(i)) for i, p in enumerate(pivots) if row[p]]
-    for j, x in enumerate(row):
-        if j in pivots:
-            continue
-        total = ZERO
-        for factor, basis in terms:
-            if basis[j]:
-                total = total + factor * basis[j]
-        if total != x:
-            return False
-    return True
-
-
 def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
     """Close the flats under intersection with one more hyperplane, one
     codimension at a time.
 
-    Every flat of codimension k+1 is a flat of codimension k cut by one
-    hyperplane that does not contain it.  One row reduction of the flat's
-    system stacked with that hyperplane's equation either shows the two
-    are disjoint (a pivot in the constant column) or gives the cover's
-    system; the cover's generators are the hyperplanes whose equations lie
-    in its span, and none of them is tried again from the same flat.
-    Covers are keyed by their generators, and each new layer is sorted by
-    its reduced systems so the output order does not depend on the
-    hyperplane input order.
+    Every flat of codimension k+1 is a flat F of codimension k cut by one
+    hyperplane that does not contain it.  Each such hyperplane's equation
+    is reduced once against F's system; the residual vanishes on the
+    pivot columns.  A residual that starts in the constant column means
+    the hyperplane misses F.  Otherwise, scaled to a leading 1, it names
+    the cover: two hyperplanes cut F in the same flat exactly when their
+    scaled residuals are equal, so each group of equal residuals is one
+    cover and its generators are F's plus the group.  A cover seen for
+    the first time gets its system from one row reduction of F's system
+    stacked with the residual.  Covers are keyed by their generators, and
+    each new layer is sorted by its reduced systems so the output order
+    does not depend on the hyperplane input order.
     """
     n = arrangement.ambient_dim
     rows = [h.normal + (h.constant,) for h in arrangement.hyperplanes]
@@ -261,21 +244,35 @@ def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
         codim = layer[0].codim + 1
         covers = {}
         for flat in layer:
-            absorbed = set(flat.generators)
-            for m, row in enumerate(rows):
-                if m in absorbed:
+            # each system row as (pivot column, its nonzero entries past the pivot)
+            basis = []
+            for row in flat.system.iter_rows():
+                nonzero = [(j, x) for j, x in enumerate(row) if x]
+                basis.append((nonzero[0][0], nonzero[1:]))
+            groups = {}
+            for k, row in enumerate(rows):
+                if k in flat.generators:
                     continue
-                reduced, _, pivots = rref(Matrix(codim, n + 1, flat.system.entries + row))
-                if n in pivots:
+                residual = list(row)
+                for p, tail in basis:
+                    factor = residual[p]
+                    if factor:
+                        residual[p] = ZERO
+                        for j, x in tail:
+                            residual[j] = residual[j] - factor * x
+                # nonzero: every hyperplane through the flat is a generator
+                lead = next(j for j, x in enumerate(residual) if x)
+                if lead == n:
                     continue
-                system = Matrix(codim, n + 1, reduced.entries[: codim * (n + 1)])
-                generators = flat.generators | {
-                    k
-                    for k, other in enumerate(rows)
-                    if k not in flat.generators and _in_span(other, system, pivots)
-                }
-                absorbed |= generators
-                covers.setdefault(generators, system)
+                if residual[lead] != ONE:
+                    scale = ONE / residual[lead]
+                    residual = [x * scale if x else x for x in residual]
+                groups.setdefault(tuple(residual), set()).add(k)
+            for residual, group in groups.items():
+                generators = flat.generators | group
+                if generators not in covers:
+                    stacked = Matrix(codim, n + 1, flat.system.entries + residual)
+                    covers[generators] = rref(stacked)[0]
         ordered = sorted(covers.items(), key=lambda item: _system_sort_key(item[1]))
         layer = [
             Flat(id=len(flats) + i, codim=codim, generators=generators, system=system)

@@ -4,12 +4,14 @@ Subcommands that read an arrangement take FILE, where ``-`` means stdin.
 Every subcommand honors ``--json`` (stable machine-readable envelope with
 a ``schema`` version) and ``--quiet`` (suppress the human report).  Exit
 codes: 0 success, 1 usage error, 2 input error, 3 negative result such as
-an arrangement that is not fiber-type.
+an arrangement that is not fiber-type.  Under ``--json`` an input error
+also prints the envelope, with the message as ``result.error``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -320,7 +322,10 @@ def _cmd_spf_pb(args) -> int:
     return report.emit()
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``run()`` and reused; each
+    ``parse_args`` call fills a fresh namespace."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS,
@@ -393,7 +398,12 @@ def run(argv=None) -> int:
         return args.handler(args)
     except ArrcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if not args.json:
+            return EXIT_INPUT
+        input_value = args.file if hasattr(args, "file") else args.n
+        report = _Report(args, args.command, input_value)
+        report.result = {"error": str(exc)}
+        return report.emit(EXIT_INPUT)
 
 
 def main() -> None:

@@ -198,7 +198,8 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             continue
         work[lead], work[pivot_row] = work[pivot_row], work[lead]
         inv = work[lead][col]
-        work[lead] = [x / inv for x in work[lead]]
+        if inv != ONE:
+            work[lead] = [x / inv for x in work[lead]]
         for i in range(m.rows):
             if i != lead and work[i][col]:
                 factor = work[i][col]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import arrcomp.arrangement as arrangement_module
 from arrcomp import (
     DimensionMismatchError,
     DuplicateHyperplaneError,
@@ -17,7 +18,7 @@ from arrcomp import (
 )
 from arrcomp.errors import InvalidParameterError
 from arrcomp.linalg import Matrix, rref
-from oracles import flats_by_subsets, random_gaussian_arrangements
+from oracles import flats_by_subsets, random_arrangements, random_gaussian_arrangements
 
 
 class TestMakeArrangement:
@@ -157,10 +158,12 @@ class TestIntersectionPoset:
 
     def test_flats_match_subset_oracle(self, corpus_arrangements):
         randoms = list(random_gaussian_arrangements(11, 40))
+        integer_normals = list(random_arrangements(5, 40))
         arrangements = (
             list(corpus_arrangements.values())
             + [braid_arrangement(n) for n in (1, 2, 3)]
             + randoms
+            + integer_normals
         )
         for a in arrangements:
             poset = intersection_poset(a)
@@ -181,6 +184,28 @@ class TestIntersectionPoset:
             for a in randoms
         )
         assert parallel >= 5
+        # leading coefficients of +-2 make the residuals need scaling
+        assert any(
+            abs(next(x for x in h.normal if x).re) == 2
+            for a in integer_normals
+            for h in a.hyperplanes
+        )
+
+    def test_one_rref_per_new_flat(self, corpus_arrangements, monkeypatch):
+        calls = []
+
+        def counting_rref(m):
+            calls.append(m)
+            return rref(m)
+
+        monkeypatch.setattr(arrangement_module, "rref", counting_rref)
+        arrangements = list(corpus_arrangements.values()) + [
+            braid_arrangement(n) for n in (1, 2, 3, 4)
+        ]
+        for a in arrangements:
+            calls.clear()
+            poset = intersection_poset(a)
+            assert len(calls) == len(poset) - 1, a
 
     def test_flat_lookup_error(self):
         poset = intersection_poset(braid_arrangement(1))

@@ -254,6 +254,47 @@ class TestJsonMode:
         assert envelope["input"] == 2
         assert envelope["result"]["hyperplane_count"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, stdin_text, command, input_value",
+        [
+            (["--json", "betti", "/no/such/file.arr"], None, "betti", "/no/such/file.arr"),
+            (["--json", "lattice", "-"], "arrangement 2\n1\n", "lattice", "-"),
+            (["--json", "surgery-pb", "0"], None, "surgery-pb", 0),
+        ],
+    )
+    def test_input_error_emits_an_envelope(self, argv, stdin_text, command, input_value):
+        code, out, err = run_cli(argv, stdin_text)
+        assert code == 2
+        assert err.startswith("error: ")
+        envelope = json.loads(out)
+        assert envelope == {
+            "schema": 1,
+            "command": command,
+            "input": input_value,
+            "result": {"error": err[len("error: "):].rstrip("\n")},
+            "warnings": [],
+        }
+
+    def test_back_to_back_runs_keep_no_options(self):
+        generic = corpus_text("generic4")
+        braid = corpus_text("braid2")
+        code, out, _ = run_cli(["lgroups", "--force-N", "3", "--json", "-"], generic)
+        assert code == 0
+        assert json.loads(out)["result"]["hyperplane_count"] == 3
+        # without --force-N the fiber-type check runs again and refuses
+        code, _, err = run_cli(["lgroups", "--json", "-"], generic)
+        assert code == 3
+        assert "rerun with --force-N" in err
+        code, out, _ = run_cli(["suspension", "--full-poset", "--json", "-"], braid)
+        assert code == 0
+        assert "full_poset" in json.loads(out)["result"]
+        code, out, _ = run_cli(["suspension", "--json", "-"], braid)
+        assert code == 0
+        assert "full_poset" not in json.loads(out)["result"]
+        code, out, _ = run_cli(["suspension", "-"], braid)
+        assert code == 0
+        assert not out.startswith("{")
+
 
 class TestQuiet:
     def test_quiet_suppresses_the_report(self):

@@ -119,6 +119,50 @@ class TestRref:
             assert matrix_rank(m) == matrix_rank(m.transpose())
 
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(z):
+            return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(
+                z.im.numerator, z.im.denominator
+            )
+
+        def from_sympy(x):
+            re, im = sympy.expand(x).as_real_imag()
+            return gauss(Fraction(str(re)), Fraction(str(im)))
+
+        rng = random.Random(29)
+        for trial in range(100):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+            entries = [
+                [ZERO if rng.random() < 0.3 else rand_scalar(rng) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            kind = trial % 4
+            if kind == 0:
+                # unit pivots on the diagonal, zeros below it
+                for i in range(min(rows, cols)):
+                    entries[i][i] = ONE
+                    for below in range(i + 1, rows):
+                        entries[below][i] = ZERO
+            elif kind == 1:
+                # a non-unit complex pivot in the first column
+                entries[0][0] = gauss(rng.choice((2, -1, 3)), rng.choice((1, -2)))
+            elif kind == 2:
+                entries[rng.randrange(rows)] = [ZERO] * cols
+            elif rows > 1:
+                # the last row is i times the first plus the second: rank deficient
+                entries[-1] = [I * a + b for a, b in zip(entries[0], entries[1 % (rows - 1)])]
+            m = Matrix.from_rows(entries)
+            reduced, rank, pivots = rref(m)
+            theirs, their_pivots = sympy.Matrix(
+                rows, cols, [to_sympy(x) for x in m.entries]
+            ).rref()
+            assert pivots == tuple(their_pivots), entries
+            assert rank == len(their_pivots), entries
+            assert reduced.entries == tuple(from_sympy(x) for x in theirs), entries
+
+
 class TestSolveAffine:
     def test_parallel_hyperplanes_inconsistent(self):
         m = rows_matrix([[1], [1]])
