@@ -7,8 +7,10 @@ ordered by reverse inclusion of subspaces.  The poset is a matroid
 closure: each flat is identified by its generators, the set of all
 hyperplanes that contain it, so the same subspace cut out by different
 sub-collections is one flat.  Linear algebra only reduces each hyperplane
-equation against a flat's system: the hyperplanes whose residuals agree
-up to a scalar cut that flat in the same cover.
+equation against a flat's system, on Gaussian-integer rows with the
+denominators cleared: the hyperplanes whose residuals agree up to a
+scalar cut that flat in the same cover.  Hyperplanes are told apart by
+the same integer key up to a scalar (``linalg.projective_key``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from .errors import (
     InvalidParameterError,
     ZeroNormalError,
 )
-from .linalg import ONE, ZERO, GaussianRational, Matrix, rref, solve_affine
+from .linalg import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    Matrix,
+    _integer_row,
+    _primitive_key,
+    projective_key,
+    rref,
+    solve_affine,
+)
 
 
 @dataclass(frozen=True)
@@ -89,7 +101,7 @@ def make_arrangement(dim: int, forms: Sequence, labels: Optional[Sequence[str]] 
                 f"form {k}: normal has length {len(normal)}, ambient dimension is {dim}"
             )
         h = Hyperplane.make(normal, constant)
-        key = h.canonical_form()
+        key = projective_key(h.normal + (h.constant,))
         if key in seen:
             raise DuplicateHyperplaneError(
                 f"form {k} defines the same hyperplane as form {seen[key]}"
@@ -224,54 +236,64 @@ def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
     codimension at a time.
 
     Every flat of codimension k+1 is a flat F of codimension k cut by one
-    hyperplane that does not contain it.  Each such hyperplane's equation
-    is reduced once against F's system; the residual vanishes on the
-    pivot columns.  A residual that starts in the constant column means
-    the hyperplane misses F.  Otherwise, scaled to a leading 1, it names
-    the cover: two hyperplanes cut F in the same flat exactly when their
-    scaled residuals are equal, so each group of equal residuals is one
-    cover and its generators are F's plus the group.  A cover seen for
-    the first time gets its system from one row reduction of F's system
-    stacked with the residual.  Covers are keyed by their generators, and
-    each new layer is sorted by its reduced systems so the output order
-    does not depend on the hyperplane input order.
+    hyperplane that does not contain it.  All elimination here runs on
+    Gaussian-integer rows: each hyperplane's equation, with denominators
+    cleared once, is reduced against F's system, with denominators
+    cleared once per visit, as ``r <- d*r - r[p]*b`` for each system row
+    b with pivot p and pivot value d.  The residual vanishes on the pivot
+    columns.  A residual that starts in the constant column means the
+    hyperplane misses F.  Otherwise two hyperplanes cut F in the same
+    flat exactly when their residuals are Q(i)-multiples of each other,
+    so residuals are grouped by their primitive integer key; each group
+    is one cover and its generators are F's plus the group.  A cover
+    seen for the first time gets its system from one row reduction of F's
+    system stacked with the row of any hyperplane in the group, which
+    spans the same space as F's system plus the residual.  Covers are
+    keyed by their generators, and each new layer is sorted by its
+    reduced systems so the output order does not depend on the
+    hyperplane input order.
     """
     n = arrangement.ambient_dim
     rows = [h.normal + (h.constant,) for h in arrangement.hyperplanes]
+    integer_rows = [_integer_row(row) for row in rows]
     flats = [Flat(id=0, codim=0, generators=frozenset(), system=Matrix(0, n + 1, ()))]
     layer = flats
     while layer:
         codim = layer[0].codim + 1
         covers = {}
         for flat in layer:
-            # each system row as (pivot column, its nonzero entries past the pivot)
+            # each system row as (pivot column, pivot value, nonzero entries past it);
+            # the rational pivot is 1, so the integer pivot value is real
             basis = []
             for row in flat.system.iter_rows():
-                nonzero = [(j, x) for j, x in enumerate(row) if x]
-                basis.append((nonzero[0][0], nonzero[1:]))
+                re, im = _integer_row(row)
+                nonzero = [(j, re[j], im[j]) for j in range(n + 1) if re[j] or im[j]]
+                p, d, _ = nonzero[0]
+                basis.append((p, d, nonzero[1:]))
             groups = {}
-            for k, row in enumerate(rows):
+            for k, (re, im) in enumerate(integer_rows):
                 if k in flat.generators:
                     continue
-                residual = list(row)
-                for p, tail in basis:
-                    factor = residual[p]
-                    if factor:
-                        residual[p] = ZERO
-                        for j, x in tail:
-                            residual[j] = residual[j] - factor * x
-                # nonzero: every hyperplane through the flat is a generator
-                lead = next(j for j, x in enumerate(residual) if x)
-                if lead == n:
+                re, im = re.copy(), im.copy()
+                for p, d, tail in basis:
+                    c, e = re[p], im[p]
+                    if c or e:
+                        if d != 1:
+                            re = [d * x for x in re]
+                            im = [d * y for y in im]
+                        re[p] = im[p] = 0
+                        for j, u, v in tail:
+                            re[j] -= c * u - e * v
+                            im[j] -= c * v + e * u
+                # the residual is nonzero, since every hyperplane through the
+                # flat is a generator; zero normal part: the hyperplane misses
+                if not (any(re[:n]) or any(im[:n])):
                     continue
-                if residual[lead] != ONE:
-                    scale = ONE / residual[lead]
-                    residual = [x * scale if x else x for x in residual]
-                groups.setdefault(tuple(residual), set()).add(k)
-            for residual, group in groups.items():
-                generators = flat.generators | group
+                groups.setdefault(_primitive_key(re, im), []).append(k)
+            for group in groups.values():
+                generators = flat.generators.union(group)
                 if generators not in covers:
-                    stacked = Matrix(codim, n + 1, flat.system.entries + residual)
+                    stacked = Matrix(codim, n + 1, flat.system.entries + rows[group[0]])
                     covers[generators] = rref(stacked)[0]
         ordered = sorted(covers.items(), key=lambda item: _system_sort_key(item[1]))
         layer = [
@@ -327,8 +349,7 @@ def restriction(arrangement: Arrangement, h: int) -> Arrangement:
         if not any(induced_normal):
             # parallel to H_h (no intersection) when the constant survives
             continue
-        induced = Hyperplane.make(induced_normal, induced_constant)
-        key = induced.canonical_form()
+        key = projective_key(induced_normal + (induced_constant,))
         if key in seen:
             continue
         seen[key] = m

@@ -4,8 +4,8 @@ Subcommands that read an arrangement take FILE, where ``-`` means stdin.
 Every subcommand honors ``--json`` (stable machine-readable envelope with
 a ``schema`` version) and ``--quiet`` (suppress the human report).  Exit
 codes: 0 success, 1 usage error, 2 input error, 3 negative result such as
-an arrangement that is not fiber-type.  Under ``--json`` an input error
-also prints the envelope, with the message as ``result.error``.
+an arrangement that is not fiber-type.  Under ``--json`` a usage or input
+error also prints the envelope, with the message as ``result.error``.
 """
 
 from __future__ import annotations
@@ -375,16 +375,31 @@ def _build_parser() -> _Parser:
     count_command("braid", _cmd_braid, "emit the braid arrangement file")
     count_command("surgery-pb", _cmd_surgery_pb, "pure braid surgery groups")
     count_command("spf-pb", _cmd_spf_pb, "strongly poly-free certificate")
+    parser.commands = frozenset(sub.choices)
     return parser
+
+
+def _usage_error(parser: _Parser, argv, message: str) -> int:
+    """Report a usage error; under ``--json`` also print the envelope, with
+    the subcommand when the first positional token names one."""
+    print(f"usage error: {message}", file=sys.stderr)
+    if "--json" not in argv:
+        return EXIT_USAGE
+    first = next((token for token in argv if not token.startswith("-")), None)
+    command = first if first in parser.commands else None
+    report = _Report(argparse.Namespace(json=True), command, None)
+    report.result = {"error": message}
+    return report.emit(EXIT_USAGE)
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(parser, argv, str(exc))
     except SystemExit as exc:
         # argparse exits directly for --help; keep run() returning an int
         return int(exc.code or 0)
@@ -392,8 +407,7 @@ def run(argv=None) -> int:
     args.json = getattr(args, "json", False)
     args.quiet = getattr(args, "quiet", False)
     if getattr(args, "handler", None) is None:
-        print("usage error: a subcommand is required (try --help)", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(parser, argv, "a subcommand is required (try --help)")
     try:
         return args.handler(args)
     except ArrcompError as exc:

@@ -20,14 +20,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, Hyperplane, make_arrangement
+from .arrangement import Arrangement, make_arrangement
 from .errors import (
     DimensionMismatchError,
     DuplicateHyperplaneError,
     ParseError,
     ZeroNormalError,
 )
-from .linalg import GaussianRational, gauss
+from .linalg import GaussianRational, gauss, projective_key
 
 _TOKEN = re.compile(r"[^\s;#]+|;")
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
@@ -110,7 +110,7 @@ def _parse_internal(text: str) -> tuple[Arrangement, tuple]:
         constant = _parse_coefficient(tail[0][0], lineno, tail[0][1])
         if not any(normal):
             raise ZeroNormalError(f"line {lineno}: hyperplane normal is the zero vector")
-        key = Hyperplane.make(normal, constant).canonical_form()
+        key = projective_key(normal + (constant,))
         if key in seen:
             raise DuplicateHyperplaneError(
                 f"line {lineno}: same hyperplane as line {seen[key]}"

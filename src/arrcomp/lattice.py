@@ -120,6 +120,30 @@ class FibrationTower:
     affine: bool = False
 
 
+def _extend_chain(poset, chain: list[int], modular, top: int) -> Optional[list[int]]:
+    """Depth-first step of the tower search: extend ``chain`` by modular
+    covers until it reaches ``top``.  A module-level function, not a
+    closure, so the recursion holds no reference cycle that would keep
+    the poset alive until the cyclic garbage collector runs."""
+    level = len(chain) + 1
+    if level > poset.rank:
+        return chain if chain[-1] == top else None
+    prev = poset.flats[chain[-1]].generators if chain else frozenset()
+    candidates = [
+        fid
+        for fid in poset.rank_layers.get(level, ())
+        if prev < poset.flats[fid].generators
+    ]
+    candidates.sort(key=lambda fid: (-len(poset.flats[fid].generators), fid))
+    for fid in candidates:
+        if not modular(fid):
+            continue
+        result = _extend_chain(poset, chain + [fid], modular, top)
+        if result is not None:
+            return result
+    return None
+
+
 def fiber_type(
     arrangement: Arrangement, poset: Optional[IntersectionPoset] = None
 ) -> Optional[FibrationTower]:
@@ -146,28 +170,7 @@ def fiber_type(
             modular_cache[fid] = is_modular(poset, fid)
         return modular_cache[fid]
 
-    rank = poset.rank
-
-    def extend(chain: list[int]) -> Optional[list[int]]:
-        level = len(chain) + 1
-        if level > rank:
-            return chain if chain[-1] == top else None
-        prev = poset.flats[chain[-1]].generators if chain else frozenset()
-        candidates = [
-            fid
-            for fid in poset.rank_layers.get(level, ())
-            if prev < poset.flats[fid].generators
-        ]
-        candidates.sort(key=lambda fid: (-len(poset.flats[fid].generators), fid))
-        for fid in candidates:
-            if not modular(fid):
-                continue
-            result = extend(chain + [fid])
-            if result is not None:
-                return result
-        return None
-
-    found = extend([])
+    found = _extend_chain(poset, [], modular, top)
     if found is None:
         return None
     ranks = []

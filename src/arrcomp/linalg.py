@@ -1,16 +1,22 @@
 """Exact scalar arithmetic and row reduction over the Gaussian rationals,
 plus Smith normal form for integer matrices.
 
-Everything here is exact: scalars are pairs of ``fractions.Fraction`` and
-integer work uses Python's arbitrary-precision ints.  No floats anywhere.
-All values are immutable and the functions are pure, so concurrent use is
-safe.
+Everything here is exact and uses no floats.  Values are
+``GaussianRational`` scalars, pairs of ``fractions.Fraction``.
+Elimination does not work on them directly: a row is first scaled by the
+lcm of its denominators into a Gaussian-integer row, a pair of lists of
+Python ints (real and imaginary parts), and is reduced without division.
+Only results are turned back into Gaussian rationals.  The same integer
+rows give ``projective_key``, which identifies a row up to a nonzero
+scalar.  All values are immutable and the functions are pure, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, "GaussianRational"]
@@ -27,8 +33,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # Fractions are immutable, so exact ones are kept as they are
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -178,38 +185,105 @@ class Matrix:
         return "\n".join(" ".join(str(x) for x in r) for r in self.iter_rows())
 
 
+def _integer_row(row) -> tuple[list[int], list[int]]:
+    """Clear the denominators of a Gaussian-rational row: scale it by the
+    lcm of all of them and return the real and imaginary parts as ints."""
+    scale = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return (
+        [x.re.numerator * (scale // x.re.denominator) for x in row],
+        [x.im.numerator * (scale // x.im.denominator) for x in row],
+    )
+
+
+def _primitive_key(re: Sequence[int], im: Sequence[int]) -> tuple:
+    """Normalize a nonzero Gaussian-integer row up to Q(i)-scaling.
+
+    Multiplying by the conjugate of a non-real leading entry, or negating
+    a negative real one, makes the lead a positive integer; what is left
+    is a positive rational factor, removed by the integer content.
+    """
+    lead = 0
+    while not (re[lead] or im[lead]):
+        lead += 1
+    a, b = re[lead], im[lead]
+    if b:
+        re, im = (
+            [x * a + y * b for x, y in zip(re, im)],
+            [y * a - x * b for x, y in zip(re, im)],
+        )
+    elif a < 0:
+        re, im = [-x for x in re], [-y for y in im]
+    re, im = _without_content(re, im)
+    return (*re, *im)
+
+
+def _without_content(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
+    """Divide a Gaussian-integer row by the gcd of all its parts."""
+    g = gcd(*re, *im)
+    if g > 1:
+        return [x // g for x in re], [y // g for y in im]
+    return re, im
+
+
+def projective_key(row) -> tuple:
+    """A tuple of ints that two nonzero Gaussian-rational rows share
+    exactly when one is a nonzero Q(i)-multiple of the other."""
+    return _primitive_key(*_integer_row(row))
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form of ``m``.
 
     Returns ``(reduced, rank, pivot_columns)``.  The reduced form is unique
     for a given row space, which is what makes it usable as a canonical key
     for affine subspaces.  Zero rows are kept so the shape is preserved.
+
+    The elimination runs on Gaussian-integer rows without division: each
+    row is cleared against the pivot row p as ``row <- p[col]*row -
+    row[col]*p`` and then divided by its integer content.  Only the final
+    rows are divided by their pivots, once, back into Gaussian rationals.
     """
-    work = [list(r) for r in m.iter_rows()]
+    work = [_integer_row(r) for r in m.iter_rows()]
     pivots: list[int] = []
     lead = 0
     for col in range(m.cols):
         pivot_row = None
         for i in range(lead, m.rows):
-            if work[i][col]:
+            if work[i][0][col] or work[i][1][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[lead], work[pivot_row] = work[pivot_row], work[lead]
-        inv = work[lead][col]
-        if inv != ONE:
-            work[lead] = [x / inv for x in work[lead]]
+        pre, pim = work[lead]
+        a, b = pre[col], pim[col]
         for i in range(m.rows):
-            if i != lead and work[i][col]:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[lead])]
+            re, im = work[i]
+            c, d = re[col], im[col]
+            if i == lead or not (c or d):
+                continue
+            work[i] = _without_content(
+                [a * x - b * y - c * u + d * v for x, y, u, v in zip(re, im, pre, pim)],
+                [a * y + b * x - c * v - d * u for x, y, u, v in zip(re, im, pre, pim)],
+            )
         pivots.append(col)
         lead += 1
         if lead == m.rows:
             break
-    flat = tuple(x for r in work for x in r)
-    return Matrix(m.rows, m.cols, flat), len(pivots), tuple(pivots)
+    entries = []
+    for (re, im), col in zip(work, pivots):
+        a, b = re[col], im[col]
+        # x / (a + bi) = x * (a - bi) / (a^2 + b^2)
+        norm = a * a + b * b
+        for x, y in zip(re, im):
+            if x or y:
+                entries.append(
+                    GaussianRational(Fraction(x * a + y * b, norm), Fraction(y * a - x * b, norm))
+                )
+            else:
+                entries.append(ZERO)
+    entries.extend([ZERO] * (m.cols * (m.rows - len(pivots))))
+    return Matrix(m.rows, m.cols, tuple(entries)), len(pivots), tuple(pivots)
 
 
 def matrix_rank(m: Matrix) -> int:

@@ -17,6 +17,39 @@ from arrcomp import (
     reduced_homology,
     solve_affine,
 )
+from arrcomp.linalg import ONE
+
+
+def rref_by_fractions(m):
+    """Reduced row echelon form by Gauss-Jordan elimination in
+    ``GaussianRational`` arithmetic: each pivot row is divided by its pivot
+    and subtracted from the others.  Same contract as ``rref``, which
+    eliminates fraction-free on Gaussian-integer rows instead."""
+    work = [list(r) for r in m.iter_rows()]
+    pivots: list[int] = []
+    lead = 0
+    for col in range(m.cols):
+        pivot_row = None
+        for i in range(lead, m.rows):
+            if work[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[lead], work[pivot_row] = work[pivot_row], work[lead]
+        inv = work[lead][col]
+        if inv != ONE:
+            work[lead] = [x / inv for x in work[lead]]
+        for i in range(m.rows):
+            if i != lead and work[i][col]:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == m.rows:
+            break
+    flat = tuple(x for r in work for x in r)
+    return Matrix(m.rows, m.cols, flat), len(pivots), tuple(pivots)
 
 
 def mobius_by_chains(poset, target):

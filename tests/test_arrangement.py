@@ -18,7 +18,12 @@ from arrcomp import (
 )
 from arrcomp.errors import InvalidParameterError
 from arrcomp.linalg import Matrix, rref
-from oracles import flats_by_subsets, random_arrangements, random_gaussian_arrangements
+from oracles import (
+    flats_by_subsets,
+    random_arrangements,
+    random_gaussian_arrangements,
+    rref_by_fractions,
+)
 
 
 class TestMakeArrangement:
@@ -176,7 +181,7 @@ class TestIntersectionPoset:
                     a.hyperplanes[k].normal + (a.hyperplanes[k].constant,)
                     for k in sorted(flat.generators)
                 ]
-                reduced, rank, _ = rref(Matrix.from_rows(rows, cols=width))
+                reduced, rank, _ = rref_by_fractions(Matrix.from_rows(rows, cols=width))
                 assert flat.system == Matrix(rank, width, reduced.entries[: rank * width])
         # parallel pairs exercise covers that turn out empty
         parallel = sum(

@@ -275,6 +275,28 @@ class TestJsonMode:
             "warnings": [],
         }
 
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["--json", "surgery-pb", "x"], "surgery-pb"),
+            (["braid", "--json", "x"], "braid"),
+            (["--json", "frobnicate"], None),
+            (["--json"], None),
+        ],
+    )
+    def test_usage_error_emits_an_envelope(self, argv, command):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert err.startswith("usage error: ")
+        envelope = json.loads(out)
+        assert envelope == {
+            "schema": 1,
+            "command": command,
+            "input": None,
+            "result": {"error": err[len("usage error: "):].rstrip("\n")},
+            "warnings": [],
+        }
+
     def test_back_to_back_runs_keep_no_options(self):
         generic = corpus_text("generic4")
         braid = corpus_text("braid2")

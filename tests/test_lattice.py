@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from arrcomp import (
@@ -155,6 +158,18 @@ class TestFiberType:
         assert tower is not None
         assert tower.fiber_ranks == (1,)
         assert not tower.affine
+
+    def test_search_frees_the_poset_without_the_cycle_collector(self):
+        arrangement = braid_arrangement(3)
+        poset = intersection_poset(arrangement)
+        alive = weakref.ref(poset)
+        gc.disable()
+        try:
+            assert fiber_type(arrangement, poset) is not None
+            del poset
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_braid_towers(self, braid_data):
         for n, (_, _, tower, _) in braid_data.items():

@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcomp import (
     GaussianRational,
+    Hyperplane,
     IntegerMatrix,
     Matrix,
     gauss,
@@ -15,7 +18,8 @@ from arrcomp import (
     smith_normal_form,
     solve_affine,
 )
-from arrcomp.linalg import I, ONE, ZERO
+from arrcomp.linalg import I, ONE, ZERO, projective_key
+from oracles import rref_by_fractions
 
 
 def rand_scalar(rng):
@@ -161,6 +165,90 @@ class TestRref:
             assert pivots == tuple(their_pivots), entries
             assert rank == len(their_pivots), entries
             assert reduced.entries == tuple(from_sympy(x) for x in theirs), entries
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(31)
+        big = 10**40
+
+        def scalar(huge):
+            if rng.random() < 0.3:
+                return ZERO
+            if huge:
+                # 40-digit parts exercise coefficient growth and content division
+                return gauss(
+                    Fraction(rng.randrange(-big, big), rng.randrange(1, big)),
+                    Fraction(rng.randrange(-big, big), rng.randrange(1, big)),
+                )
+            return rand_scalar(rng)
+
+        for trial in range(2000):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+            entries = [[scalar(trial % 25 == 0) for _ in range(cols)] for _ in range(rows)]
+            kind = trial % 5
+            if kind == 0:
+                # a non-unit complex pivot in the first column
+                entries[0][0] = gauss(rng.choice((2, -1, 3)), rng.choice((1, -2)))
+            elif kind == 1:
+                entries[rng.randrange(rows)] = [ZERO] * cols
+            elif kind == 2:
+                column = rng.randrange(cols)
+                for row in entries:
+                    row[column] = ZERO
+            elif kind == 3 and rows > 1:
+                # the last row is a complex multiple of the first plus the second
+                factor = gauss(rng.randint(-3, 3), rng.randint(1, 3))
+                entries[-1] = [factor * a + b for a, b in zip(entries[0], entries[1 % (rows - 1)])]
+            m = Matrix.from_rows(entries)
+            assert rref(m) == rref_by_fractions(m), entries
+
+
+small_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+gaussians = st.one_of(
+    st.builds(gauss, small_rationals), st.builds(gauss, small_rationals, small_rationals)
+)
+normals = st.lists(gaussians, min_size=1, max_size=4).filter(any)
+nonzero_scalars = st.one_of(
+    gaussians.filter(bool),
+    st.builds(lambda p, q: gauss(Fraction(-p, q)), st.integers(1, 20), st.integers(1, 12)),
+    st.builds(lambda p, q: gauss(0, Fraction(p, q)), st.integers(1, 20), st.integers(1, 12)),
+)
+
+
+def test_projective_key_properties():
+    branches = set()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        normal=normals,
+        constant=gaussians,
+        scale=nonzero_scalars,
+        other=st.tuples(normals, gaussians),
+        relation=st.sampled_from(("unrelated", "multiple", "perturbed")),
+    )
+    def check(normal, constant, scale, other, relation):
+        row = tuple(normal) + (constant,)
+        scaled = tuple(scale * x for x in row)
+        for lead in (next(x for x in r if x) for r in (row, scaled)):
+            branches.add("conjugate" if lead.im else "sign" if lead.re < 0 else "positive")
+        assert projective_key(scaled) == projective_key(row)
+
+        if relation == "unrelated":
+            other_row = tuple(other[0]) + (other[1],)
+        else:
+            other_row = list(scaled)
+            if relation == "perturbed":
+                other_row[len(normal) - 1] += ONE
+            other_row = tuple(other_row)
+        if not any(other_row[:-1]):
+            return
+        same_hyperplane = (
+            Hyperplane.make(row[:-1], row[-1]).canonical_form()
+            == Hyperplane.make(other_row[:-1], other_row[-1]).canonical_form()
+        )
+        assert (projective_key(row) == projective_key(other_row)) == same_hyperplane
+
+    check()
+    assert {"conjugate", "sign"} <= branches
 
 
 class TestSolveAffine:
