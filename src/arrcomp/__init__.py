@@ -49,7 +49,6 @@ from .linalg import (
     IntegerMatrix,
     Matrix,
     gauss,
-    integer_rank,
     matrix_rank,
     rref,
     smith_normal_form,
@@ -119,7 +118,6 @@ __all__ = [
     "gauss",
     "gm_wedge",
     "h_of_complement",
-    "integer_rank",
     "intersection_poset",
     "is_modular",
     "k_theory_metadata",

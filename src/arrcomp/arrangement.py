@@ -35,7 +35,6 @@ from .linalg import (
     _primitive_key,
     projective_key,
     rref,
-    solve_affine,
 )
 
 
@@ -224,13 +223,6 @@ class IntersectionPoset:
         return None
 
 
-def _dot(a, b):
-    total = ZERO
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
-
-
 def intersection_poset(arrangement: Arrangement) -> IntersectionPoset:
     """Close the flats under intersection with one more hyperplane, one
     codimension at a time.
@@ -328,15 +320,18 @@ def restriction(arrangement: Arrangement, h: int) -> Arrangement:
 
     Coordinates on H_h come from solving its equation for the pivot
     variable of its reduced form; the free variables, in order, become the
-    coordinates of C^(n-1).  Hyperplanes that miss H_h are dropped and
-    hyperplanes cutting the same trace are merged.
+    coordinates of C^(n-1).  With the reduced row r and pivot p, H_h says
+    x_p = r[n] - sum(r[j] * x_j for j != p), so another hyperplane g
+    traces the equation g - g[p] * r with column p dropped.  Hyperplanes
+    that miss H_h are dropped and hyperplanes cutting the same trace are
+    merged.
     """
     if not 0 <= h < arrangement.size:
         raise IndexOutOfRangeError(f"hyperplane index {h} out of range")
     n = arrangement.ambient_dim
     target = arrangement.hyperplanes[h]
-    solved = solve_affine(Matrix.from_rows([target.normal], cols=n), [target.constant])
-    witness, directions = solved
+    reduced, _, (p,) = rref(Matrix(1, n + 1, target.normal + (target.constant,)))
+    row = reduced.entries
 
     forms = []
     labels = []
@@ -344,8 +339,10 @@ def restriction(arrangement: Arrangement, h: int) -> Arrangement:
     for m, other in enumerate(arrangement.hyperplanes):
         if m == h:
             continue
-        induced_normal = tuple(_dot(other.normal, d) for d in directions)
-        induced_constant = other.constant - _dot(other.normal, witness)
+        g = other.normal + (other.constant,)
+        traced = [x - g[p] * r for x, r in zip(g, row)]
+        del traced[p]
+        induced_normal, induced_constant = tuple(traced[:-1]), traced[-1]
         if not any(induced_normal):
             # parallel to H_h (no intersection) when the constant survives
             continue

@@ -58,16 +58,12 @@ def char_poly(arrangement: Arrangement, poset: Optional[IntersectionPoset] = Non
 
 
 def betti_numbers(arrangement: Arrangement, poset: Optional[IntersectionPoset] = None) -> list[int]:
-    """Betti numbers of the complement: b_k = sum of |mu| over the
-    codimension-k flats.  b_0 = 1 and b_1 = number of hyperplanes."""
-    if poset is None:
-        poset = intersection_poset(arrangement)
-    n = arrangement.ambient_dim
-    table = mobius(poset)
-    betti = [0] * (n + 1)
-    for flat in poset.flats:
-        betti[flat.codim] += abs(table[flat.id])
-    return betti
+    """Betti numbers of the complement: b_k = |coefficient of t^(n-k) in
+    the characteristic polynomial|.  That coefficient sums mu over the
+    codimension-k flats, and mu(X) has sign (-1)^codim(X) for central and
+    affine arrangements alike (Orlik-Terao, Thm 2.47), so no terms cancel.
+    b_0 = 1 and b_1 = number of hyperplanes."""
+    return [abs(c) for c in reversed(char_poly(arrangement, poset))]
 
 
 def is_modular(poset: IntersectionPoset, flat_id: int) -> bool:

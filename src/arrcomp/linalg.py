@@ -338,17 +338,6 @@ class IntegerMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntegerMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(x for r in rows for x in r))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -430,8 +419,3 @@ def _smallest_nonzero(a, k, R, C):
                     if av == 1:
                         return best
     return best
-
-
-def integer_rank(m: IntegerMatrix) -> int:
-    """Rank over Q, read off the Smith normal form."""
-    return sum(1 for d in smith_normal_form(m) if d)

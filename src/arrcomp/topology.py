@@ -6,10 +6,12 @@ Two wedge models are computed on purpose.  ``suspension_wedge`` is the
 hyperplane-count model: the suspension of the complement is a wedge of N
 two-spheres, N the number of hyperplanes.  ``gm_wedge`` evaluates the
 underlying subspace-arrangement decomposition over the full proper poset,
-where every flat X contributes |mu(X)| spheres of dimension codim(X) + 1,
-read off the Möbius table.  The two disagree as soon as a flat of
-codimension two or more exists; the disagreement is reported as a warning
-on the full-poset result, never reconciled silently.
+where every flat X contributes |mu(X)| spheres of dimension codim(X) + 1;
+summed over each codimension k that is b_k spheres of dimension k + 1,
+read off the Betti numbers, which come from the characteristic
+polynomial.  The two disagree as soon as a flat of codimension two or
+more exists; the disagreement is reported as a warning on the full-poset
+result, never reconciled silently.
 
 Order complexes and their integral homology are public API and the
 independent reference that the tests check ``gm_wedge`` against; neither
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .arrangement import Arrangement, IntersectionPoset, intersection_poset
+from .arrangement import Arrangement, IntersectionPoset
 from .errors import InvalidParameterError
-from .lattice import mobius
+from .lattice import betti_numbers
 from .linalg import IntegerMatrix, smith_normal_form
 
 
@@ -97,17 +99,18 @@ def order_complex_below(poset: IntersectionPoset, flat_id: int) -> SimplicialCom
         fid for fid in poset.proper_ids() if fid != flat_id and poset.leq(fid, flat_id)
     ]
     below.sort(key=lambda fid: (poset.flats[fid].codim, fid))
+    # chains as tuples of positions in ``below``, grown from an explicit
+    # stack: a recursive closure would refer to itself and keep the poset
+    # alive until the cyclic garbage collector runs
     faces = []
-
-    def grow(chain: list[int], start: int) -> None:
-        if chain:
-            faces.append(frozenset(chain))
-        for idx in range(start, len(below)):
-            nxt = below[idx]
-            if not chain or poset.lt(chain[-1], nxt):
-                grow(chain + [nxt], idx + 1)
-
-    grow([], 0)
+    stack = [(i,) for i in range(len(below))]
+    while stack:
+        chain = stack.pop()
+        faces.append(frozenset(below[i] for i in chain))
+        last = below[chain[-1]]
+        for j in range(chain[-1] + 1, len(below)):
+            if poset.lt(last, below[j]):
+                stack.append(chain + (j,))
     return SimplicialComplex(vertices=tuple(below), simplices=frozenset(faces))
 
 
@@ -229,19 +232,13 @@ def gm_wedge(
     (1966) the below-complex has free homology of rank |mu(X)|, all in
     degree c-2; for c = 1 the complex is empty and contributes one sphere
     of dimension 2.  Hence X gives |mu(X)| spheres of dimension c+1, with
-    no torsion to drop.  Divergence from the hyperplane-count model is
-    surfaced as a warning.
+    no torsion to drop, and codimension k gives b_k spheres of dimension
+    k+1 in all.  Divergence from the hyperplane-count model is surfaced
+    as a warning.
     """
-    if poset is None:
-        poset = intersection_poset(arrangement)
-    table = mobius(poset)
-    dims = sorted(
-        flat.codim + 1
-        for flat in poset.flats
-        if flat.codim > 0
-        for _ in range(abs(table[flat.id]))
-    )
-    full = WedgeDecomposition(sphere_dims=tuple(dims))
+    betti = betti_numbers(arrangement, poset)
+    dims = tuple(k + 1 for k in range(1, len(betti)) for _ in range(betti[k]))
+    full = WedgeDecomposition(sphere_dims=dims)
     plain = suspension_wedge(arrangement)
     if full.sphere_dims == plain.sphere_dims:
         return full

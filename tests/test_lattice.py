@@ -21,6 +21,7 @@ from oracles import (
     mobius_by_chains,
     mobius_by_subsets,
     random_arrangements,
+    random_gaussian_arrangements,
 )
 
 
@@ -119,6 +120,25 @@ class TestBetti:
             betti = betti_numbers(a, poset)
             for k in range(poset.rank + 1, a.ambient_dim + 1):
                 assert betti[k] == 0, name
+
+    def test_mobius_signs_and_per_codim_sums(self, corpus_arrangements):
+        # betti_numbers reads |chi(t)| coefficientwise, which is the sum of
+        # |mu| over each codimension only if mu(X) has sign (-1)^codim(X)
+        inputs = (
+            list(corpus_arrangements.values())
+            + [braid_arrangement(n) for n in range(1, 5)]
+            + list(random_gaussian_arrangements(11, 40))
+            + list(random_arrangements(5, 40))
+        )
+        assert sum(not a.is_central() for a in inputs) >= 5
+        for a in inputs:
+            poset = intersection_poset(a)
+            table = mobius(poset)
+            by_codim = [0] * (a.ambient_dim + 1)
+            for flat in poset.flats:
+                assert (-1) ** flat.codim * table[flat.id] > 0
+                by_codim[flat.codim] += abs(table[flat.id])
+            assert betti_numbers(a, poset) == by_codim
 
 
 class TestModular:

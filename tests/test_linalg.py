@@ -12,7 +12,6 @@ from arrcomp import (
     IntegerMatrix,
     Matrix,
     gauss,
-    integer_rank,
     matrix_rank,
     rref,
     smith_normal_form,
@@ -377,7 +376,3 @@ class TestSmithNormalForm:
             theirs = sympy_snf(sympy.Matrix(rows, cols, entries), domain=sympy.ZZ)
             size = min(rows, cols)
             assert ours == tuple(abs(int(theirs[i, i])) for i in range(size)), entries
-
-    def test_integer_rank(self):
-        m = IntegerMatrix(rows=2, cols=3, entries=(1, 2, 3, 2, 4, 6))
-        assert integer_rank(m) == 1

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -68,6 +70,17 @@ class TestOrderComplexBelow:
         poset = intersection_poset(braid_arrangement(1))
         with pytest.raises(FlatNotFoundError):
             order_complex_below(poset, 9)
+
+    def test_frees_the_poset_without_the_cycle_collector(self):
+        poset = intersection_poset(braid_arrangement(3))
+        alive = weakref.ref(poset)
+        gc.disable()
+        try:
+            assert order_complex_below(poset, poset.top_id()).dimension == 1
+            del poset
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestReducedHomology:
